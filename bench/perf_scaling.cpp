@@ -194,9 +194,9 @@ BENCHMARK(BM_GreedyConnectorsNested)
     ->Arg(16384)
     ->Complexity(benchmark::oNLogN);
 
-// Parallel UDG construction: grid sweep fanned over the pool (the
-// builder's serial prologue — cell hashing — is part of the measured
-// cost, as in BM_BuildUdg). Worker count is the auto default, so on a
+// Parallel UDG construction: the candidate sweep fanned over the pool
+// (the builder's serial steps — the cell sort and the transpose into the
+// CSR — are part of the measured cost, as in BM_BuildUdg). Worker count is the auto default, so on a
 // multi-core host this shows the build-side speedup and on a single-core
 // host it measures the parallel path's overhead honestly.
 void BM_BuildUdgParallel(benchmark::State& state) {

@@ -4,6 +4,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace mcds::graph {
 
@@ -11,6 +12,34 @@ Graph::Graph(std::size_t n, std::span<const std::pair<NodeId, NodeId>> edges)
     : n_(n), offsets_(n + 1, 0) {
   for (const auto& [u, v] : edges) add_edge(u, v);
   finalize();
+}
+
+Graph::Graph(std::size_t n, std::vector<std::uint32_t> offsets,
+             std::vector<NodeId> neighbors)
+    : n_(n), offsets_(std::move(offsets)), neighbors_(std::move(neighbors)) {
+  if (offsets_.size() != n + 1 || offsets_.front() != 0 ||
+      offsets_.back() != neighbors_.size()) {
+    throw std::invalid_argument(
+        "Graph: offsets must hold n + 1 boundaries from 0 to "
+        "neighbors.size()");
+  }
+  for (std::size_t u = 0; u < n; ++u) {
+    if (offsets_[u] > offsets_[u + 1]) {
+      throw std::invalid_argument("Graph: offsets decrease at node " +
+                                  std::to_string(u));
+    }
+  }
+  NodeId top = 0;  // a max-reduction the compiler vectorizes
+  for (const NodeId v : neighbors_) top = std::max(top, v);
+  if (!neighbors_.empty() && top >= n) {
+    throw std::invalid_argument("Graph: neighbor " + std::to_string(top) +
+                                " out of range (n=" + std::to_string(n) +
+                                ")");
+  }
+  if (neighbors_.size() % 2 != 0) {
+    throw std::invalid_argument("Graph: odd adjacency count");
+  }
+  num_edges_ = neighbors_.size() / 2;
 }
 
 void Graph::check_node(NodeId u) const {

@@ -8,12 +8,16 @@
 /// Undirected graph storage. This is the communication topology
 /// G = (V, E) on which every CDS algorithm in the library runs.
 ///
-/// Storage model: Graph is built through add_edge() into per-node build
-/// lists, then finalize() compacts it into a CSR (compressed sparse row)
+/// Storage model: a finalized Graph is a CSR (compressed sparse row)
 /// layout — one flat `offsets_` array of n+1 list boundaries and one
-/// flat `neighbors_` array holding every adjacency consecutively. All
-/// queries after finalize() read the flat arrays, so a neighborhood scan
-/// is a single contiguous range with no per-node heap indirection.
+/// flat `neighbors_` array holding every adjacency consecutively, each
+/// row ascending. It arrives there one of two ways: add_edge() stages
+/// edges in per-node build lists that finalize() sorts, dedups and
+/// compacts; or a bulk builder that already emits ascending rows (such as
+/// udg::build_udg) hands both arrays to the adopting constructor, with no
+/// staging at all. All queries after finalize() read the flat arrays, so
+/// a neighborhood scan is a single contiguous range with no per-node
+/// heap indirection.
 /// FrozenGraph is the zero-cost view of that layout the hot paths
 /// consume; NestedGraph retains the historical vector-of-vectors
 /// representation for differential tests and locality benchmarks.
@@ -40,6 +44,16 @@ class Graph {
 
   /// Creates a graph from an explicit edge list.
   Graph(std::size_t n, std::span<const std::pair<NodeId, NodeId>> edges);
+
+  /// Adopts a finished CSR as the finalized graph. Throws
+  /// std::invalid_argument unless \p offsets holds n + 1 nondecreasing
+  /// row boundaries from 0 to neighbors.size(), every entry of
+  /// \p neighbors is < n and their count is even (O(n + m), one
+  /// vectorized pass over the entries). Rows that are strictly ascending,
+  /// loop-free and symmetric (v in row u iff u in row v) are the caller's
+  /// contract, as add_edge + finalize() would have produced them.
+  Graph(std::size_t n, std::vector<std::uint32_t> offsets,
+        std::vector<NodeId> neighbors);
 
   /// Number of nodes.
   [[nodiscard]] std::size_t num_nodes() const noexcept { return n_; }

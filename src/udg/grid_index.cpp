@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "udg/builder.hpp"
+
 namespace mcds::udg {
 
 using geom::Vec2;
@@ -13,7 +15,7 @@ using graph::Graph;
 
 namespace {
 
-/// Same packing as build_udg: two 32-bit cell coordinates in one key.
+/// Two 32-bit cell coordinates in one hash key.
 [[nodiscard]] std::uint64_t cell_key(long cx, long cy) noexcept {
   return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(cx)) << 32) |
          static_cast<std::uint32_t>(cy);
@@ -38,6 +40,7 @@ GridIndex::GridIndex(std::span<const Vec2> points, double radius)
   cells_.reserve(points.size());
   for (const Vec2 p : points) {
     const auto id = static_cast<NodeId>(pos_.size());
+    detail::check_position(p, radius_, id, "GridIndex");
     pos_.push_back(p);
     alive_.push_back(1);
     cell_insert(cell_of(p), id);
@@ -120,6 +123,7 @@ NodeId GridIndex::insert(Vec2 p) {
 
 NodeId GridIndex::insert(Vec2 p, EdgeDelta& delta) {
   const auto id = static_cast<NodeId>(pos_.size());
+  detail::check_position(p, radius_, id, "GridIndex::insert");
   std::vector<NodeId> nbrs;
   alive_in_range(p, id, nbrs);
   pos_.push_back(p);
@@ -157,6 +161,7 @@ void GridIndex::revive(NodeId v, Vec2 p) {
 
 void GridIndex::revive(NodeId v, Vec2 p, EdgeDelta& delta) {
   check_alive(v, false, "revive");
+  detail::check_position(p, radius_, v, "GridIndex::revive");
   pos_[v] = p;
   alive_[v] = 1;
   ++alive_count_;
@@ -175,6 +180,7 @@ void GridIndex::move(NodeId v, Vec2 p) {
 
 void GridIndex::move(NodeId v, Vec2 p, EdgeDelta& delta) {
   check_alive(v, true, "move");
+  detail::check_position(p, radius_, v, "GridIndex::move");
   std::vector<NodeId> before;
   alive_in_range(pos_[v], v, before);
   const std::uint64_t old_key = cell_of(pos_[v]);
@@ -204,26 +210,7 @@ void GridIndex::move(NodeId v, Vec2 p, EdgeDelta& delta) {
 }
 
 Graph GridIndex::build_graph() const {
-  Graph g(pos_.size());
-  const double r2 = r2_;
-  for (NodeId i = 0; i < pos_.size(); ++i) {
-    if (!alive_[i]) continue;
-    const Vec2 p = pos_[i];
-    const long cx = static_cast<long>(std::floor(p.x / radius_));
-    const long cy = static_cast<long>(std::floor(p.y / radius_));
-    for (long dy = -1; dy <= 1; ++dy) {
-      for (long dx = -1; dx <= 1; ++dx) {
-        const auto it = cells_.find(cell_key(cx + dx, cy + dy));
-        if (it == cells_.end()) continue;
-        for (const NodeId j : it->second) {
-          if (j <= i) continue;
-          if (geom::dist2(p, pos_[j]) <= r2) g.add_edge(i, j);
-        }
-      }
-    }
-  }
-  g.finalize();
-  return g;
+  return detail::build_udg(pos_, radius_, alive_, nullptr);
 }
 
 }  // namespace mcds::udg

@@ -10,16 +10,20 @@
 #include "graph/graph.hpp"
 
 /// \file grid_index.hpp
-/// The persistent half of build_udg. The batch builder hashes every
-/// point into radius-sized cells, sweeps the 3×3 neighborhood, and
-/// throws the whole grid away; under churn that is O(n) of rebuilt state
-/// per event. GridIndex owns the same cell → point mapping across
-/// events: insert, move, erase and revive each touch only the O(1)
-/// cells around the affected point and emit the *exact* set of unit-disk
-/// edges that appeared or vanished, which is what the incremental CDS
-/// engine consumes. Node ids are stable and never reused; a node erased
+/// The persistent cell grid for churn. build_udg sorts a static point set
+/// into radius-sized cells once and discards them; under churn that is
+/// O(n) of rebuilt state per event. GridIndex keeps a cell → point hash
+/// map with the same cells (floor(p / radius) per axis) across events:
+/// insert, move, erase and revive each touch only the O(1) cells around
+/// the affected point and emit the *exact* set of unit-disk edges that
+/// appeared or vanished, which is what the incremental CDS engine
+/// consumes. A whole-graph snapshot (build_graph) goes through the bulk
+/// builder itself. Node ids are stable and never reused; a node erased
 /// from the index keeps its id and position slot and can be revived
 /// (fail-stop churn: a crashed radio still rides its vehicle).
+/// Positions are checked as build_udg checks them: insert, move, revive
+/// and the bulk constructor throw std::invalid_argument naming the node
+/// for a NaN or ±inf coordinate.
 
 namespace mcds::udg {
 
@@ -79,8 +83,8 @@ class GridIndex {
   void alive_neighbors(NodeId v, std::vector<NodeId>& out) const;
 
   /// The unit-disk graph over the alive nodes, on the full id space
-  /// (dead nodes are isolated). Identical CSR to what build_udg produces
-  /// for the same alive positions.
+  /// (dead nodes are isolated), built by build_udg's own body, so the
+  /// CSR is the one build_udg produces for the same alive positions.
   [[nodiscard]] graph::Graph build_graph() const;
 
   /// Number of occupied grid cells (diagnostics).

@@ -45,9 +45,11 @@ struct InstanceParams {
 [[nodiscard]] std::optional<UdgInstance> generate_connected_instance(
     const InstanceParams& params, std::uint64_t seed);
 
-/// Like generate_connected_instance but keeps only the largest connected
-/// component when full connectivity cannot be reached; never fails for
-/// nodes >= 1. The returned instance's points/graph are the component.
+/// Like generate_connected_instance but, when full connectivity cannot
+/// be reached, keeps only the largest connected component of the seed's
+/// own draw (generate_instance(params, seed)), in draw order; never fails
+/// for nodes >= 1. The returned instance's points/graph are the
+/// component.
 [[nodiscard]] UdgInstance generate_largest_component_instance(
     const InstanceParams& params, std::uint64_t seed);
 

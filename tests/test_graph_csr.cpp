@@ -239,4 +239,60 @@ TEST(GraphCsr, EdgeListConstructorMatchesIncremental) {
   expect_layouts_agree(from_list);
 }
 
+TEST(GraphCsr, AdoptedCsrEqualsFinalizedBuild) {
+  // The adopting constructor must yield the graph add_edge + finalize()
+  // builds from the same edges: same arrays, same counts, same queries.
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const auto inst = mcds::udg::generate_instance(
+        {.nodes = 150, .side = 8.0}, seed);
+    Graph built(inst.graph.num_nodes());
+    for (const auto& [u, v] : inst.graph.edges()) built.add_edge(v, u);
+    built.finalize();
+    const auto off = built.offsets();
+    const auto adj = built.flat_neighbors();
+    const Graph adopted(built.num_nodes(),
+                        std::vector<std::uint32_t>(off.begin(), off.end()),
+                        std::vector<NodeId>(adj.begin(), adj.end()));
+    EXPECT_TRUE(adopted.finalized());
+    EXPECT_EQ(adopted.num_edges(), built.num_edges());
+    EXPECT_EQ(adopted.edges(), built.edges());
+    EXPECT_TRUE(std::ranges::equal(adopted.offsets(), off));
+    EXPECT_TRUE(std::ranges::equal(adopted.flat_neighbors(), adj));
+    expect_layouts_agree(adopted);
+  }
+  const Graph empty(0, {0}, {});
+  EXPECT_EQ(empty.num_nodes(), 0u);
+  const Graph isolated(3, {0, 0, 0, 0}, {});
+  EXPECT_EQ(isolated.num_edges(), 0u);
+  EXPECT_EQ(isolated.degree(2), 0u);
+}
+
+TEST(GraphCsr, AdoptingConstructorRejectsMalformedArrays) {
+  using Off = std::vector<std::uint32_t>;
+  using Adj = std::vector<NodeId>;
+  // The path 0 - 1 - 2 is well formed.
+  EXPECT_NO_THROW(Graph(3, Off{0, 1, 3, 4}, Adj{1, 0, 2, 1}));
+  // offsets size != n + 1.
+  EXPECT_THROW(Graph(3, Off{0, 1, 3}, Adj{1, 0, 2}), std::invalid_argument);
+  EXPECT_THROW(Graph(2, Off{0, 1, 3, 4}, Adj{1, 0, 2, 1}),
+               std::invalid_argument);
+  EXPECT_THROW(Graph(0, Off{}, Adj{}), std::invalid_argument);
+  // offsets not monotone (the decrease comes before the end is reached).
+  EXPECT_THROW(Graph(3, Off{0, 3, 1, 4}, Adj{1, 0, 2, 1}),
+               std::invalid_argument);
+  // offsets must start at 0.
+  EXPECT_THROW(Graph(3, Off{1, 1, 3, 4}, Adj{1, 0, 2, 1}),
+               std::invalid_argument);
+  // offsets.back() != neighbors.size().
+  EXPECT_THROW(Graph(3, Off{0, 1, 3, 3}, Adj{1, 0, 2, 1}),
+               std::invalid_argument);
+  EXPECT_THROW(Graph(3, Off{0, 1, 3, 5}, Adj{1, 0, 2, 1}),
+               std::invalid_argument);
+  // A neighbour out of range.
+  EXPECT_THROW(Graph(3, Off{0, 1, 3, 4}, Adj{1, 0, 3, 1}),
+               std::invalid_argument);
+  EXPECT_THROW(Graph(3, Off{0, 1, 3, 4}, Adj{1, 0, 2, 7}),
+               std::invalid_argument);
+}
+
 }  // namespace

@@ -1,4 +1,4 @@
-// GridIndex: the persistent half of build_udg. Two contracts under
+// GridIndex: the persistent cell grid for churn. Two contracts under
 // test. First, build_graph() must be byte-identical (offsets and flat
 // neighbor array) to the batch builder at the same alive positions.
 // Second, every event's emitted EdgeDelta must be *exact*: replaying the
@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -117,6 +120,39 @@ TEST(DynGridIndex, LivenessErrors) {
   gi.revive(v, {2.0, 2.0});
   EXPECT_TRUE(gi.alive(v));
   EXPECT_EQ(gi.position(v).x, 2.0);
+}
+
+TEST(DynGridIndex, RejectsNonFinitePositionsNamingTheNode) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto names = [](const std::function<void()>& event,
+                        const std::string& node) {
+    try {
+      event();
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what()).find(node) != std::string::npos;
+    }
+    return false;
+  };
+  for (const Vec2 bad : {Vec2{nan, 0}, Vec2{0, nan}, Vec2{inf, 0},
+                         Vec2{0, -inf}}) {
+    EXPECT_TRUE(names(
+        [&] { GridIndex(std::vector<Vec2>{{0, 0}, {1, 0}, bad}, 1.0); },
+        "node 2"));
+    GridIndex gi(std::vector<Vec2>{{0, 0}, {0.5, 0}, {3, 3}}, 1.0);
+    EXPECT_TRUE(names([&] { gi.insert(bad); }, "node 3"));
+    EXPECT_TRUE(names([&] { gi.move(1, bad); }, "node 1"));
+    gi.erase(2);
+    EXPECT_TRUE(names([&] { gi.revive(2, bad); }, "node 2"));
+    // Rejected events change nothing.
+    EXPECT_EQ(gi.size(), 3u);
+    EXPECT_EQ(gi.alive_count(), 2u);
+    EXPECT_FALSE(gi.alive(2));
+    EXPECT_EQ(gi.position(1).x, 0.5);
+    expect_same_csr(gi.build_graph(),
+                    oracle_udg({{0, 0}, {0.5, 0}, {3, 3}},
+                               {true, true, false}, 1.0));
+  }
 }
 
 TEST(DynGridIndex, EmptyCellsAreReclaimed) {

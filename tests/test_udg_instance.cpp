@@ -67,6 +67,32 @@ TEST(Instance, LargestComponentAlwaysConnected) {
   EXPECT_EQ(inst.points.size(), inst.graph.num_nodes());
 }
 
+TEST(Instance, LargestComponentFallbackComesFromTheSeedsOwnDraw) {
+  // Too sparse to connect, so every redraw fails and the fallback runs.
+  // Its points must be an order-preserving subset of the seed's own draw
+  // (generate_instance with the same seed), not of the last redraw.
+  InstanceParams params;
+  params.nodes = 40;
+  params.side = 30.0;
+  params.max_retries = 3;
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    ASSERT_FALSE(generate_connected_instance(params, seed).has_value());
+    const auto drawn = generate_instance(params, seed).points;
+    const auto kept = generate_largest_component_instance(params, seed);
+    ASSERT_LT(kept.points.size(), drawn.size());
+    std::size_t next = 0;  // greedy subsequence match, exact coordinates
+    for (const auto& p : kept.points) {
+      while (next < drawn.size() &&
+             !(drawn[next].x == p.x && drawn[next].y == p.y)) {
+        ++next;
+      }
+      ASSERT_LT(next, drawn.size()) << "seed " << seed;
+      ++next;
+    }
+    EXPECT_TRUE(graph::is_connected(kept.graph));
+  }
+}
+
 TEST(Instance, LargestComponentKeepsDenseInstancesWhole) {
   InstanceParams params;
   params.nodes = 60;
